@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race fmt ci ci-short bench figures clean
+.PHONY: all build vet lint test race fmt ci ci-short bench bench-decision figures clean
 
 all: build
 
@@ -52,6 +52,17 @@ ci-short:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkScheme|BenchmarkMembershipControlPlane|BenchmarkDirectoryMemory|BenchmarkSimKernel|BenchmarkBatchedFetch' -benchmem -benchtime 3x . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_core.json
+
+# bench-decision runs the decision benchmark (decisionbench/, declared in
+# BENCHMARK.json) once per workload. Each run's last stdout line is its
+# end-to-end metrics JSON; BENCH_SEED and BENCH_SECONDS override the
+# defaults.
+BENCH_SEED ?= 1
+BENCH_SECONDS ?= 20
+bench-decision:
+	for w in sim-paper sim-fleet tcp-fleet; do \
+		bash decisionbench/run.sh --workload $$w --seed $(BENCH_SEED) --seconds $(BENCH_SECONDS) --trace 0 || exit 1; \
+	done
 
 # figures reproduces the paper's evaluation tables (quick variants).
 figures:

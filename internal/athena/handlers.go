@@ -613,7 +613,9 @@ func (n *Node) handleLabelShare(from string, s *LabelShare) {
 	n.pump(q)
 }
 
-// kick schedules queue draining. Callers hold n.mu.
+// kick schedules an immediate drain of the fetch queue. A pending
+// pacing tick never holds it back: only prefetch pushes are paced.
+// Callers hold n.mu.
 func (n *Node) kick() {
 	if n.draining {
 		return
@@ -622,9 +624,9 @@ func (n *Node) kick() {
 	n.timers.After(0, n.drain)
 }
 
-// drain processes the fetch queue fully, then at most one background
-// prefetch task (the prefetch queue is only served when the fetch queue is
-// empty, Section VI-A).
+// drain dispatches the whole fetch queue, then serves at most one
+// background prefetch task unless a pacing tick is armed (the prefetch
+// queue is only served when the fetch queue is empty, Section VI-A).
 func (n *Node) drain() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -645,6 +647,30 @@ func (n *Node) drain() {
 		n.dispatchRequest(qr.req)
 	}
 
+	if !n.pacing {
+		n.servePrefetch()
+	}
+}
+
+// prefetchTick is the pacing timer: it serves the next prefetch task, if
+// any, PrefetchDelay after the previous one. If fetches are queued it
+// leaves the task to the drain already scheduled for them.
+func (n *Node) prefetchTick() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	defer n.flushBursts()
+	n.pacing = false
+	if len(n.fetchQ) > 0 {
+		return
+	}
+	n.servePrefetch()
+}
+
+// servePrefetch pushes the head of the prefetch queue toward its origin
+// and arms the pacing tick, so pushes go out at most one per
+// PrefetchDelay: a task that arrives before the tick fires waits for it.
+// Callers hold n.mu.
+func (n *Node) servePrefetch() {
 	if len(n.prefetchQ) == 0 {
 		return
 	}
@@ -661,10 +687,8 @@ func (n *Node) drain() {
 			n.sendData(obj, task.origin, task.queryID, true)
 		}
 	}
-	if len(n.prefetchQ) > 0 {
-		n.draining = true
-		n.timers.After(n.prefetchDelay, n.drain)
-	}
+	n.pacing = true
+	n.timers.After(n.prefetchDelay, n.prefetchTick)
 }
 
 // dispatchRequest serves a locally originated request: local cache and

@@ -426,7 +426,8 @@ type Node struct {
 
 	fetchQ    []queuedRequest
 	prefetchQ []prefetchTask
-	draining  bool
+	draining  bool // an immediate drain is scheduled
+	pacing    bool // a prefetch pacing tick is armed
 
 	lastSample *object.Object
 	version    uint64

@@ -334,6 +334,157 @@ func TestPrefetchDisabled(t *testing.T) {
 	}
 }
 
+// pushTap wraps a node's simulated transport and records every
+// background push of the node's own object: its virtual send time and
+// the node's fetch-queue length at that moment. Sends run on the
+// simulator's goroutine under the node's lock, so the read is safe.
+type pushTap struct {
+	*transport.SimTransport
+	sched  *simclock.Scheduler
+	node   *Node
+	pushes []tappedPush
+}
+
+type tappedPush struct {
+	at     time.Time
+	fetchQ int
+}
+
+func (p *pushTap) observe(payload any) {
+	if d, ok := payload.(*ObjectData); ok && d.Background && d.SourceNode == p.node.id {
+		p.pushes = append(p.pushes, tappedPush{at: p.sched.Now(), fetchQ: len(p.node.fetchQ)})
+	}
+}
+
+func (p *pushTap) Send(to string, size int64, payload any) error {
+	p.observe(payload)
+	return p.SimTransport.Send(to, size, payload)
+}
+
+func (p *pushTap) SendPriority(to string, size int64, priority int, payload any) error {
+	p.observe(payload)
+	return p.SimTransport.SendPriority(to, size, priority, payload)
+}
+
+// backlogDelay is the pacing delay of the prefetch-backlog scenario.
+const backlogDelay = 2 * time.Second
+
+// runPrefetchBacklog drives the rig (lvfl, prefetch on, PrefetchDelay
+// backlogDelay) through a prefetch backlog at source nodeC:
+//   - at 0, nodeC decides la1, leaving la1 in its label cache;
+//   - at 5s, nodeB decides lc1 and nodeA decides lc1&lc2 and lc2: three
+//     announces reach nodeC, which pushes for the first and queues the
+//     other two behind its pacing tick;
+//   - at each instant in local, nodeC decides la1 again. Those events
+//     are scheduled before anything else, so at an instant shared with a
+//     pacing tick they run first and the tick finds the fetch queue full.
+//
+// It returns the rig, nodeC's push log, and the local decisions' ids.
+func runPrefetchBacklog(t *testing.T, local ...time.Duration) (*rig, *pushTap, []string) {
+	t.Helper()
+	world := staticWorld{"la1": true, "la2": true, "lc1": true, "lc2": true}
+	tap := &pushTap{}
+	r := buildRig(t, SchemeLVFL, world, func(cfg *Config) {
+		cfg.DisablePrefetch = false
+		cfg.PrefetchDelay = backlogDelay
+		if cfg.ID == "nodeC" {
+			tap.SimTransport = cfg.Transport.(*transport.SimTransport)
+			cfg.Transport = tap
+		}
+	})
+	tap.sched, tap.node = r.sched, r.nodes["nodeC"]
+	decide := func(id, expr string) string {
+		qid, err := r.nodes[id].QueryInit(boolexpr.ToDNF(boolexpr.MustParse(expr)), 30*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qid
+	}
+	ids := make([]string, len(local))
+	for i, at := range local {
+		r.sched.At(tBase.Add(at), func() {
+			if n := len(r.nodes["nodeC"].prefetchQ); n < 2 {
+				t.Errorf("local decision at %v: prefetch backlog %d, want >= 2", at, n)
+			}
+			ids[i] = decide("nodeC", "la1")
+		})
+	}
+	decide("nodeC", "la1")
+	r.run(t, 5*time.Second)
+	if res := r.nodes["nodeC"].Results(); len(res) != 1 || res[0].Status != core.ResolvedTrue {
+		t.Fatalf("warm-up decision: %+v", res)
+	}
+	decide("nodeB", "lc1")
+	decide("nodeA", "lc1 & lc2")
+	decide("nodeA", "lc2")
+	r.run(t, 30*time.Second)
+	return r, tap, ids
+}
+
+// firstBacklogPush is the offset of nodeC's first push in the backlog
+// scenario; the scenario is deterministic, so a dry run finds it.
+func firstBacklogPush(t *testing.T) time.Duration {
+	t.Helper()
+	_, tap, _ := runPrefetchBacklog(t)
+	if len(tap.pushes) == 0 {
+		t.Fatal("nodeC never pushed")
+	}
+	return tap.pushes[0].at.Sub(tBase)
+}
+
+// A prefetch backlog paces pushes; it must not hold a fetch. A decision
+// whose evidence sits in the local label cache resolves at its issue
+// instant, even mid-way through the backlog's pacing delay.
+func TestPrefetchBacklogDoesNotHoldFetch(t *testing.T) {
+	r, _, ids := runPrefetchBacklog(t, firstBacklogPush(t)+backlogDelay/2)
+	node := r.nodes["nodeC"]
+	for _, res := range node.Results() {
+		if res.QueryID != ids[0] {
+			continue
+		}
+		if res.Status != core.ResolvedTrue {
+			t.Fatalf("local decision status = %v", res.Status)
+		}
+		if got := res.Finished.Sub(res.Issued); got != 0 {
+			t.Errorf("local decision took %v behind the prefetch backlog, want 0", got)
+		}
+		if node.Stats().LabelAnswers == 0 {
+			t.Error("local decision was not answered from the label cache")
+		}
+		return
+	}
+	t.Fatalf("local decision %s never finished", ids[0])
+}
+
+// Pacing survives the split: consecutive pushes stay PrefetchDelay
+// apart, and none goes out while fetches are queued — including at a
+// pacing tick that coincides with a local decision's fetch.
+func TestPrefetchPacingAndPriority(t *testing.T) {
+	r, tap, ids := runPrefetchBacklog(t, firstBacklogPush(t)+backlogDelay)
+	if len(tap.pushes) < 2 {
+		t.Fatalf("pushes = %d, want a paced backlog of >= 2", len(tap.pushes))
+	}
+	if got := r.nodes["nodeC"].Stats().PrefetchPushes; got != len(tap.pushes) {
+		t.Errorf("PrefetchPushes = %d, tap saw %d", got, len(tap.pushes))
+	}
+	for i, p := range tap.pushes {
+		if p.fetchQ != 0 {
+			t.Errorf("push %d at %v went out with %d fetches queued", i, p.at.Sub(tBase), p.fetchQ)
+		}
+		if i > 0 {
+			if gap := p.at.Sub(tap.pushes[i-1].at); gap < backlogDelay {
+				t.Errorf("pushes %d and %d only %v apart, want >= %v", i-1, i, gap, backlogDelay)
+			}
+		}
+	}
+	// The coinciding decision itself is not held either.
+	for _, res := range r.nodes["nodeC"].Results() {
+		if res.QueryID == ids[0] && res.Finished != res.Issued {
+			t.Errorf("decision at the pacing tick took %v", res.Finished.Sub(res.Issued))
+		}
+	}
+}
+
 func TestQueryInitValidation(t *testing.T) {
 	world := staticWorld{}
 	r := buildRig(t, SchemeLVF, world, nil)

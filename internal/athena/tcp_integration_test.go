@@ -189,6 +189,88 @@ func TestTCPLabelSharingAcrossProcesses(t *testing.T) {
 	}
 }
 
+// TestTCPPrefetchBacklogDoesNotHoldDecision pins the fetch queue's
+// priority over background prefetch on the wall-clock path: a source
+// whose prefetch queue is backed up behind a long pacing delay must
+// still answer its own decision at once, not after the next paced push.
+func TestTCPPrefetchBacklogDoesNotHoldDecision(t *testing.T) {
+	const prefetchDelay = 2 * time.Second
+	world := staticWorld{"paceL": true}
+	desc := object.Descriptor{
+		Name:     names.MustParse("/tcp/pace/cam"),
+		Size:     10_000,
+		Validity: time.Minute,
+		Labels:   []string{"paceL"},
+		Source:   "src",
+		ProbTrue: 0.8,
+	}
+	dir := athena.NewDirectory([]object.Descriptor{desc})
+	auth := trust.NewAuthority()
+	meta := boolexpr.MetaTable{"paceL": {Cost: 10_000, ProbTrue: 0.8, Validity: time.Minute}}
+
+	mk := func(id string, d *object.Descriptor) (*athena.Node, *transport.TCPTransport) {
+		t.Helper()
+		tr, err := transport.NewTCP(id, "127.0.0.1:0", wire.Codec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := athena.New(athena.Config{
+			ID: id, Transport: tr, Router: &athena.StaticRouter{Self: id},
+			Timers: athena.WallTimers{}, Scheme: athena.SchemeLVFL, Directory: dir,
+			Meta: meta, World: world, Authority: auth,
+			Signer: auth.Register(id, []byte(id)), Policy: trust.TrustAll(),
+			Descriptor: d, CacheBytes: 8 << 20, PrefetchDelay: prefetchDelay,
+		})
+		if err != nil {
+			tr.Close()
+			t.Fatal(err)
+		}
+		return node, tr
+	}
+	origin, originTr := mk("origin", nil)
+	defer originTr.Close()
+	src, srcTr := mk("src", &desc)
+	defer srcTr.Close()
+	originTr.AddPeer("src", srcTr.Addr())
+	srcTr.AddPeer("origin", originTr.Addr())
+
+	// Every announce of a decision on paceL queues a prefetch task at
+	// src; src pushes for the first and paces the rest prefetchDelay
+	// apart.
+	expr := boolexpr.ToDNF(boolexpr.MustParse("paceL"))
+	for i := 0; i < 20; i++ {
+		if _, err := origin.QueryInit(expr, 20*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); src.Stats().PrefetchPushes == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("src never pushed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Let the rest of the announces land behind the first push.
+	time.Sleep(100 * time.Millisecond)
+
+	done := make(chan athena.QueryResult, 1)
+	src.OnQueryDone(func(r athena.QueryResult) { done <- r })
+	start := time.Now()
+	if _, err := src.QueryInit(expr, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-done:
+		if r.Status != core.ResolvedTrue {
+			t.Fatalf("status = %v", r.Status)
+		}
+		if took := time.Since(start); took > 500*time.Millisecond {
+			t.Errorf("own-sensor decision took %v behind a prefetch backlog paced at %v", took, prefetchDelay)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for the local decision")
+	}
+}
+
 // TestTCPMembershipLifecycle drives the full membership arc over real
 // sockets — the exact code path the simulator exercises: three sources
 // join an origin through the PeerJoin handshake (no static directory —

@@ -267,7 +267,9 @@ func (c *LabelCache) Records(now time.Time) []trust.Label {
 }
 
 // Get returns the freshest record for label accepted by the policy, or
-// false. Stale records encountered are pruned.
+// false. Records with equal expiry are ranked by tieRank, so the choice
+// never depends on map iteration order. Stale records encountered are
+// pruned.
 func (c *LabelCache) Get(label string, policy *trust.Policy, now time.Time) (*trust.Label, bool) {
 	byAnn := c.records[label]
 	var best *trust.Label
@@ -281,7 +283,8 @@ func (c *LabelCache) Get(label string, policy *trust.Policy, now time.Time) (*tr
 		if !policy.Trusts(ann) {
 			continue
 		}
-		if best == nil || rec.Expiry().After(best.Expiry()) {
+		if best == nil || rec.Expiry().After(best.Expiry()) ||
+			(rec.Expiry().Equal(best.Expiry()) && tieRank(label, ann) < tieRank(label, best.Annotator)) {
 			best = rec
 		}
 	}
@@ -296,4 +299,23 @@ func (c *LabelCache) Get(label string, policy *trust.Policy, now time.Time) (*tr
 	c.stats.Hits++
 	c.m.Hits.Inc()
 	return best, true
+}
+
+// tieRank orders records of equal expiry: FNV-1a of the label and the
+// annotator id. The winner is fixed per label but does not follow the
+// sort order of annotator ids. Plain id order would not be neutral: the
+// simulator names nodes by index and trusts the first fraction of them,
+// so smallest-id-wins would favour trusted annotators and largest-id-wins
+// untrusted ones.
+func tieRank(label, annotator string) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint64(label[i])) * prime
+	}
+	h *= prime // a zero byte between the two, so ("ab","c") != ("a","bc")
+	for i := 0; i < len(annotator); i++ {
+		h = (h ^ uint64(annotator[i])) * prime
+	}
+	return h
 }

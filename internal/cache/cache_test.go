@@ -254,6 +254,75 @@ func TestLabelCacheKeepsFreshest(t *testing.T) {
 	}
 }
 
+// Records of equal expiry tie-break on tieRank, not on map iteration or
+// insertion order: every Get, on every cache holding the same records,
+// must pick the same one.
+func TestLabelCacheTieBreakIsDeterministic(t *testing.T) {
+	auth := trust.NewAuthority()
+	anns := []string{"ann5", "ann3", "ann9", "ann1", "ann7", "ann2"}
+	recs := make(map[string]*trust.Label)
+	for _, ann := range anns {
+		recs[ann] = makeLabel(t, auth, ann, "x", true, time.Minute)
+	}
+	// best returns the annotator with the smallest rank among allowed.
+	best := func(allowed ...string) string {
+		win := allowed[0]
+		for _, a := range allowed[1:] {
+			if tieRank("x", a) < tieRank("x", win) {
+				win = a
+			}
+		}
+		return win
+	}
+	wantAll := best(anns...)
+	subset := []string{"ann7", "ann3", "ann9"}
+	wantSubset := best(subset...)
+
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		c := NewLabelCache()
+		for _, i := range rng.Perm(len(anns)) {
+			c.Put(recs[anns[i]])
+		}
+		for i := 0; i < 5; i++ {
+			if rec, ok := c.Get("x", trust.TrustAll(), t0); !ok || rec.Annotator != wantAll {
+				t.Fatalf("trial %d: Get = %v, %v; want %s's record", trial, rec, ok, wantAll)
+			}
+			if rec, ok := c.Get("x", trust.TrustOnly(subset...), t0); !ok || rec.Annotator != wantSubset {
+				t.Fatalf("trial %d: Get trusted-only = %v, %v; want %s's record", trial, rec, ok, wantSubset)
+			}
+		}
+	}
+
+	// A fresher record still beats any rank.
+	c := NewLabelCache()
+	for _, ann := range anns {
+		c.Put(recs[ann])
+	}
+	c.Put(makeLabel(t, auth, "ann8", "x", false, 2*time.Minute))
+	if rec, ok := c.Get("x", trust.TrustAll(), t0); !ok || rec.Annotator != "ann8" {
+		t.Fatalf("Get = %v, %v; want the fresher ann8 record", rec, ok)
+	}
+}
+
+// The rank must not follow id order, or the tie-break would favour
+// whichever end of the id space a deployment trusts.
+func TestTieRankDoesNotFollowIDOrder(t *testing.T) {
+	ascending, descending := true, true
+	for i := 1; i < 16; i++ {
+		prev := tieRank("x", fmt.Sprintf("athena%02d", i-1))
+		cur := tieRank("x", fmt.Sprintf("athena%02d", i))
+		ascending = ascending && prev < cur
+		descending = descending && prev > cur
+	}
+	if ascending || descending {
+		t.Error("tieRank is monotone in the annotator id")
+	}
+	if tieRank("ab", "c") == tieRank("a", "bc") {
+		t.Error("tieRank does not separate label from annotator")
+	}
+}
+
 func BenchmarkStorePutGet(b *testing.B) {
 	s := NewStore(1 << 20)
 	namesList := make([]names.Name, 64)

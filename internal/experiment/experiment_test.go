@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +91,28 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a[0].Ratio != b[0].Ratio || a[0].MeanMB != b[0].MeanMB {
 		t.Errorf("nondeterministic: %+v vs %+v", a[0], b[0])
+	}
+}
+
+// A1 mixes records from several annotators in each label cache, so equal
+// expiries are common; its rows must still be a pure function of the seed.
+func TestAblationLabelSharingDeterministic(t *testing.T) {
+	// The athena-sim -quick workload at one repetition: tinyConfig's
+	// eight nodes rarely put two equally fresh records in one cache.
+	cfg := Default()
+	cfg.Reps = 1
+	cfg.Workload.GridRows, cfg.Workload.GridCols = 5, 5
+	cfg.Workload.Nodes = 14
+	cfg.Workload.QueriesPerNode = 2
+	render := func() string {
+		rows, err := AblationLabelSharing(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%+v", rows)
+	}
+	if a, b := render(), render(); a != b {
+		t.Errorf("A1 rows differ between runs:\n%s\n%s", a, b)
 	}
 }
 
